@@ -401,8 +401,11 @@ type Bus struct {
 	// to re-provision holdings at run time.
 	OnCycle func(cycle int64, b *Bus)
 	// OnMessageComplete, when non-nil, is invoked when the last word of
-	// a message transfers. Bridges use it to forward transactions onto
-	// another bus.
+	// a message transfers, with completion set to that word's cycle.
+	// Bridges use it to forward transactions onto another bus. Both
+	// engines fire it in completion order with identical arguments, but
+	// the fast path may call it mid-batch, so the callback must take
+	// the cycle from its arguments and must not mutate its own bus.
 	OnMessageComplete func(master, words, slave int, arrival, completion int64)
 
 	// DisableFastForward forces the naive per-cycle loop even when the

@@ -108,6 +108,58 @@ func TestFastForwardEquivalence(t *testing.T) {
 	}
 }
 
+// TestFastForwardCompletionHook proves OnMessageComplete no longer
+// forces the naive loop and fires identically on both engines: for every
+// bus configuration and traffic class, the fast path (run in uneven
+// chunks) must make the same sequence of calls with the same arguments
+// as the per-cycle loop, and must still skip cycles on low-load runs.
+func TestFastForwardCompletionHook(t *testing.T) {
+	type call struct {
+		master, words, slave int
+		arrival, completion  int64
+	}
+	am := check.Arbiters()[6] // static lottery
+	for _, bc := range check.BusConfigs() {
+		for _, gm := range check.TrafficClasses() {
+			t.Run(bc.Name+"/"+gm.Name, func(t *testing.T) {
+				var calls [2][]call
+				var buses [2]*bus.Bus
+				for i, disable := range []bool{true, false} {
+					b := eqBuild(t, bc, am, gm, disable)
+					log := &calls[i]
+					b.OnMessageComplete = func(master, words, slave int, arrival, completion int64) {
+						*log = append(*log, call{master, words, slave, arrival, completion})
+					}
+					for done := int64(0); done < eqCycles; done += 1237 {
+						if err := b.Run(min(1237, eqCycles-done)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					buses[i] = b
+				}
+				naive, fast := buses[0], buses[1]
+				if len(calls[0]) == 0 {
+					t.Fatal("no message completed")
+				}
+				if len(calls[0]) != len(calls[1]) {
+					t.Fatalf("naive loop made %d hook calls, fast path %d", len(calls[0]), len(calls[1]))
+				}
+				for k := range calls[0] {
+					if calls[0][k] != calls[1][k] {
+						t.Fatalf("hook call %d: naive %+v, fast %+v", k, calls[0][k], calls[1][k])
+					}
+				}
+				if n, f := naive.Collector().Fingerprint(), fast.Collector().Fingerprint(); n != f {
+					t.Errorf("collector fingerprint: naive %#x, fast %#x", n, f)
+				}
+				if gm.FastForwards && fast.FastForwarded() == 0 {
+					t.Error("completion hook kept the bus off the fast path")
+				}
+			})
+		}
+	}
+}
+
 // TestFastForwardChunkedRuns proves repeated short Run calls equal one
 // long call on the fast path (state carries across Run boundaries).
 func TestFastForwardChunkedRuns(t *testing.T) {

@@ -19,9 +19,11 @@
 //     accumulators).
 //
 // Eligibility (checked per Run call by fastForwardable): no OnCycle /
-// OnOwner / OnMessageComplete hook, no active Preemptor, and every
-// attached generator implements Scheduler. Anything else falls back to
-// the naive loop — correctness never depends on the fast path.
+// OnOwner hook, no active Preemptor, and every attached generator
+// implements Scheduler. Anything else falls back to the naive loop —
+// correctness never depends on the fast path. OnMessageComplete does
+// not force the naive loop: batched bursts fire it with the same
+// arguments, in the same order, as the per-cycle loop does.
 package bus
 
 import (
@@ -48,7 +50,7 @@ const never = int64(math.MaxInt64)
 // engine: nothing observes individual cycles and every generator can
 // predict its arrivals.
 func (b *Bus) fastForwardable() bool {
-	if b.OnCycle != nil || b.OnOwner != nil || b.OnMessageComplete != nil {
+	if b.OnCycle != nil || b.OnOwner != nil {
 		return false
 	}
 	if b.cfg.Preemption {
@@ -272,6 +274,9 @@ func (b *Bus) batchBurst(limit int64, col *stats.Collector) {
 
 	if msg.remaining == 0 {
 		col.MessageCompleted(cur.master, msg.words, msg.arrival, last)
+		if b.OnMessageComplete != nil {
+			b.OnMessageComplete(cur.master, msg.words, msg.slave, msg.arrival, last)
+		}
 		if cur.fromOutstanding {
 			m.outstanding = nil
 		} else {

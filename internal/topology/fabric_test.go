@@ -12,11 +12,11 @@ import (
 	"lotterybus/internal/traffic"
 )
 
-// chainSegmentBus builds one saturated segment with n local masters and
-// a bridge entry/exit: slave 0 is local memory, slave 1 addresses the
-// outgoing bridge, and when hasBridgeMaster is set master 0 is the
-// incoming bridge's injection point (nil generator).
-func chainSegmentBus(t *testing.T, seed uint64, tag string, n int, hasBridgeMaster bool) *bus.Bus {
+// chainSegmentBus builds one segment with n local masters offering load
+// words/cycle each and a bridge entry/exit: slave 0 is local memory,
+// slave 1 addresses the outgoing bridge, and when hasBridgeMaster is set
+// master 0 is the incoming bridge's injection point (nil generator).
+func chainSegmentBus(t testing.TB, seed uint64, tag string, n int, hasBridgeMaster bool, load float64) *bus.Bus {
 	t.Helper()
 	b := bus.New(bus.Config{MaxBurst: 16})
 	tickets := make([]uint64, 0, n+1)
@@ -25,7 +25,7 @@ func chainSegmentBus(t *testing.T, seed uint64, tag string, n int, hasBridgeMast
 		tickets = append(tickets, 4)
 	}
 	for i := 0; i < n; i++ {
-		gen, err := traffic.NewBernoulli(0.3, traffic.Fixed(8), i%2,
+		gen, err := traffic.NewBernoulli(load, traffic.Fixed(8), i%2,
 			prng.Derive(seed, fmt.Sprintf("%s/gen%d", tag, i)))
 		if err != nil {
 			t.Fatal(err)
@@ -49,11 +49,11 @@ func chainSegmentBus(t *testing.T, seed uint64, tag string, n int, hasBridgeMast
 // TestNewChainValidation proves chain construction rejects malformed
 // shapes instead of building a fabric that cannot run.
 func TestNewChainValidation(t *testing.T) {
-	b := chainSegmentBus(t, 1, "solo", 2, false)
+	b := chainSegmentBus(t, 1, "solo", 2, false, 0.3)
 	if _, _, err := NewChain([]ChainSegment{{Name: "only", Bus: b}}, nil); err == nil {
 		t.Error("single-segment chain accepted")
 	}
-	b2 := chainSegmentBus(t, 1, "b2", 2, true)
+	b2 := chainSegmentBus(t, 1, "b2", 2, true, 0.3)
 	if _, _, err := NewChain(
 		[]ChainSegment{{Name: "a", Bus: b}, {Name: "b", Bus: b2}},
 		[]BridgeConfig{{SrcSlave: 1, DstMaster: 0, DstSlave: 0}, {SrcSlave: 1, DstMaster: 0, DstSlave: 0}},
@@ -75,9 +75,9 @@ func TestNewChainValidation(t *testing.T) {
 func TestChainConservation(t *testing.T) {
 	const perSeg = 32 // 3 segments x 32 local masters = 96 fabric-wide
 	segs := []ChainSegment{
-		{Name: "seg0", Bus: chainSegmentBus(t, 7, "seg0", perSeg, false)},
-		{Name: "seg1", Bus: chainSegmentBus(t, 7, "seg1", perSeg, true)},
-		{Name: "seg2", Bus: chainSegmentBus(t, 7, "seg2", perSeg, true)},
+		{Name: "seg0", Bus: chainSegmentBus(t, 7, "seg0", perSeg, false, 0.3)},
+		{Name: "seg1", Bus: chainSegmentBus(t, 7, "seg1", perSeg, true, 0.3)},
+		{Name: "seg2", Bus: chainSegmentBus(t, 7, "seg2", perSeg, true, 0.3)},
 	}
 	links := []BridgeConfig{
 		{SrcSlave: 1, DstMaster: 0, DstSlave: 0, Delay: 3, FifoCap: 32},

@@ -85,6 +85,37 @@ func TestConnectValidation(t *testing.T) {
 	if _, err := sys.Connect(ai, bi, BridgeConfig{Delay: -1}); err == nil {
 		t.Fatal("negative delay accepted")
 	}
+	// A target slave missing downstream used to pass here and panic
+	// inside bus.Inject at the first drain.
+	if _, err := sys.Connect(ai, bi, BridgeConfig{DstSlave: 5}); err == nil {
+		t.Fatal("bad destination slave accepted")
+	}
+	// A negative FIFO cap used to be kept and drop every message.
+	if _, err := sys.Connect(ai, bi, BridgeConfig{FifoCap: -1}); err == nil {
+		t.Fatal("negative FifoCap accepted")
+	}
+	if _, err := sys.Connect(ai, bi, BridgeConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	// A second bridge on the same destination master used to be
+	// accepted; both then popped their in-flight queues on each of its
+	// completions, corrupting Forwarded and the end-to-end latency.
+	if _, err := sys.Connect(ai, bi, BridgeConfig{Name: "twin"}); err == nil {
+		t.Fatal("second bridge onto one destination master accepted")
+	}
+}
+
+// TestRunRejectsMisalignedBuses proves Run refuses a system whose buses
+// were advanced on their own: drains would otherwise land on the wrong
+// cycle of the destination bus.
+func TestRunRejectsMisalignedBuses(t *testing.T) {
+	sys, _, a, _ := buildPair(t, false)
+	if err := a.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(5); err == nil {
+		t.Fatalf("misaligned run accepted: system cycle %d, bus A cycle %d", sys.Cycle(), a.Cycle())
+	}
 }
 
 func TestRunWithoutBusesFails(t *testing.T) {
