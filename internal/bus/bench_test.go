@@ -218,3 +218,47 @@ func BenchmarkDrawOnlyDynamic(b *testing.B) {
 		}
 	}
 }
+
+// widePortBus builds the cmp64 crossbar's directory port: 64 masters
+// sending 2-word Bernoulli messages at 0.016 words/cycle each (1.02
+// words/cycle offered to the port) under a static lottery, master i
+// holding i%4+1 tickets — beyond the lottery lookup table, and on the
+// fast path a system whose cost was once dominated by per-master scans.
+func widePortBus(b *testing.B, disableFF bool) *bus.Bus {
+	b.Helper()
+	const masters = 64
+	tickets := make([]uint64, masters)
+	bb := bus.New(bus.Config{MaxBurst: 16})
+	bb.DisableFastForward = disableFF
+	for i := range tickets {
+		tickets[i] = uint64(i%4) + 1
+		gen, err := traffic.NewBernoulli(0.016, traffic.Fixed(2), 0, uint64(i+1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bb.AddMaster("core", gen, bus.MasterOpts{Tickets: tickets[i]})
+	}
+	bb.AddSlave("dir", bus.SlaveOpts{})
+	mgr, err := core.NewStaticLottery(core.StaticConfig{
+		Tickets: tickets,
+		Source:  prng.NewXorShift64Star(1),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bb.SetArbiter(arb.NewStaticLottery(mgr))
+	return bb
+}
+
+// BenchmarkWidePortFast measures the 64-master directory port on the
+// fast-forward engine, whose per-cycle cost follows the cycle's events
+// (due generators, requesters), not the bus width.
+func BenchmarkWidePortFast(b *testing.B) {
+	benchRun(b, widePortBus(b, false))
+}
+
+// BenchmarkWidePortNaive is the same port on the per-cycle loop, which
+// ticks and scans all 64 masters every cycle.
+func BenchmarkWidePortNaive(b *testing.B) {
+	benchRun(b, widePortBus(b, true))
+}

@@ -427,8 +427,22 @@ type Bus struct {
 	// fast-forward engine (dead-gap skips plus batched burst cycles).
 	ffCycles int64
 
-	// scheds caches the per-master Scheduler views for the fast path.
-	scheds []Scheduler
+	// unscheduled counts the generators that do not implement
+	// Scheduler; any one of them keeps the bus on the naive loop.
+	unscheduled int
+
+	// The fast path's own state (fastforward.go): the arrival calendar
+	// and the incremental request map (queued: queue non-empty; splits:
+	// split outstanding). fastLive is false until they are rebuilt for
+	// the current masters and state; AddMaster and naive-loop Runs clear
+	// it.
+	cal            []calEntry
+	queued, splits core.Bitset
+	fastLive       bool
+
+	// slavesChecked counts the slaves validate has already accepted;
+	// slave options never change after AddSlave.
+	slavesChecked int
 
 	reqView requestView
 }
@@ -454,6 +468,10 @@ func (b *Bus) AddMaster(name string, gen Generator, opts MasterOpts) *Master {
 		b.enqueue(idx, words, slave, b.cycle)
 	}
 	b.masters = append(b.masters, m)
+	if _, ok := gen.(Scheduler); gen != nil && !ok {
+		b.unscheduled++
+	}
+	b.fastLive = false
 	return m
 }
 
@@ -526,7 +544,11 @@ func (b *Bus) FastForwarded() int64 { return b.ffCycles }
 // generator. It reports whether the message was accepted (false on queue
 // overflow, which is also counted against the master).
 func (b *Bus) Inject(m int, words, slave int) bool {
-	return b.enqueue(m, words, slave, b.cycle)
+	if !b.enqueue(m, words, slave, b.cycle) {
+		return false
+	}
+	b.queued.Set(m) // keep the fast path's request map current
+	return true
 }
 
 func (b *Bus) enqueue(m int, words, slave int, cycle int64) bool {
@@ -588,7 +610,8 @@ func (b *Bus) validate() error {
 	if b.cfg.StarvationThreshold < 0 {
 		return fmt.Errorf("bus: negative StarvationThreshold %d", b.cfg.StarvationThreshold)
 	}
-	for i, s := range b.slaves {
+	for ; b.slavesChecked < len(b.slaves); b.slavesChecked++ {
+		i, s := b.slavesChecked, b.slaves[b.slavesChecked]
 		if s.waitStates < 0 {
 			return fmt.Errorf("bus: slave %d (%s) has negative WaitStates %d", i, s.name, s.waitStates)
 		}
@@ -612,8 +635,32 @@ func (b *Bus) Run(n int64) error {
 	}
 	col := b.Collector()
 	if !b.DisableFastForward && b.fastForwardable() {
+		// A fault model disarmed since the last naive Run must not be
+		// consulted: the fast path runs as on a clean bus.
+		b.fm = nil
+		if !b.fastLive {
+			if until := b.rebuildFast(); until > b.cycle {
+				// A retry backoff left by a faulted Run keeps its master
+				// off the request lines, which the incremental map cannot
+				// express: step it out on the naive loop.
+				k := min(n, until-b.cycle)
+				if err := b.runNaive(k, col); err != nil || k == n {
+					return err
+				}
+				n -= k
+				b.rebuildFast()
+			}
+		}
 		return b.runFast(n, col)
 	}
+	return b.runNaive(n, col)
+}
+
+// runNaive executes n cycles on the per-cycle reference loop. It does
+// not maintain the fast path's calendar or request map, so it marks
+// them stale.
+func (b *Bus) runNaive(n int64, col *stats.Collector) error {
+	b.fastLive = false
 	// Hoist loop invariants: the preemptor type assertion and the slow
 	// per-cycle hook checks would otherwise run every simulated cycle.
 	var pre Preemptor

@@ -65,20 +65,46 @@ func wideArbiters() []wideArbMaker {
 	}
 }
 
-// boundaryGen builds master i's generator for an n-master boundary
-// cell: light Bernoulli load so the fast-forward engine has dead gaps
-// to skip.
-func boundaryGen(n, i int) (bus.Generator, error) {
-	return traffic.NewBernoulli(0.008, traffic.Fixed(8), i%2,
-		prng.Derive(boundarySeed, fmt.Sprintf("wide%d/m%d", n, i)))
+// boundaryShape is one system of the boundary grid: n masters whose
+// generators gen builds.
+type boundaryShape struct {
+	name string
+	n    int
+	gen  func(i int) (bus.Generator, error)
 }
 
-// buildWideScalar builds the n-master scalar (or fast-forward) bus.
-func buildWideScalar(n int, am wideArbMaker, disableFastForward bool) (*bus.Bus, error) {
+// boundaryShapes returns the grid's systems: light Bernoulli load (so
+// the fast-forward engine has dead gaps to skip) at 63, 64, 65 and 96
+// masters, plus the two port shapes of the cmp64 crossbar — a 16-master
+// memory port of 8-word line refills at 0.07 words/cycle per core, and
+// the 64-master directory port of 2-word messages at 0.016 — both
+// overloaded, where the fast path's cost tracks requesters and due
+// arrivals rather than width.
+func boundaryShapes() []boundaryShape {
+	var shapes []boundaryShape
+	for _, n := range []int{63, 64, 65, 96} {
+		n := n
+		shapes = append(shapes, boundaryShape{fmt.Sprintf("n%d", n), n, func(i int) (bus.Generator, error) {
+			return traffic.NewBernoulli(0.008, traffic.Fixed(8), i%2,
+				prng.Derive(boundarySeed, fmt.Sprintf("wide%d/m%d", n, i)))
+		}})
+	}
+	port := func(name string, n int, load float64, words int) boundaryShape {
+		return boundaryShape{name, n, func(i int) (bus.Generator, error) {
+			return traffic.NewBernoulli(load, traffic.Fixed(words), i%2,
+				prng.Derive(boundarySeed, fmt.Sprintf("%s/m%d", name, i)))
+		}}
+	}
+	return append(shapes, port("cmp64-mem16", 16, 0.07, 8), port("cmp64-dir64", 64, 0.016, 2))
+}
+
+// buildWideScalar builds the scalar (or fast-forward) bus of a shape.
+func buildWideScalar(sh boundaryShape, am wideArbMaker, disableFastForward bool) (*bus.Bus, error) {
+	n := sh.n
 	b := bus.New(bus.Config{MaxBurst: 16})
 	b.DisableFastForward = disableFastForward
 	for i := 0; i < n; i++ {
-		gen, err := boundaryGen(n, i)
+		gen, err := sh.gen(i)
 		if err != nil {
 			return nil, err
 		}
@@ -95,12 +121,13 @@ func buildWideScalar(n int, am wideArbMaker, disableFastForward bool) (*bus.Bus,
 }
 
 // buildWideLanes builds the single-lane lane-engine twin.
-func buildWideLanes(n int, am wideArbMaker) *lanes.Engine {
+func buildWideLanes(sh boundaryShape, am wideArbMaker) *lanes.Engine {
+	n := sh.n
 	e := lanes.New(bus.Config{MaxBurst: 16}, 1)
 	for i := 0; i < n; i++ {
 		i := i
 		e.AddMaster(fmt.Sprintf("m%d", i), bus.MasterOpts{Tickets: uint64(i%4) + 1},
-			func(lane int) (bus.Generator, error) { return boundaryGen(n, i) })
+			func(lane int) (bus.Generator, error) { return sh.gen(i) })
 	}
 	e.AddSlave("mem", bus.SlaveOpts{})
 	e.AddSlave("io", bus.SlaveOpts{})
@@ -108,30 +135,31 @@ func buildWideLanes(n int, am wideArbMaker) *lanes.Engine {
 	return e
 }
 
-// TestWideBoundaryGrid runs 63-, 64-, 65- and 96-master systems through
-// all three engines and requires identical collector fingerprints and a
-// clean invariant audit on each side of the mask-word boundary.
+// TestWideBoundaryGrid runs 63-, 64-, 65- and 96-master systems and the
+// cmp64 port shapes through all three engines and requires identical
+// collector fingerprints and a clean invariant audit on each side of
+// the mask-word boundary.
 func TestWideBoundaryGrid(t *testing.T) {
-	for _, n := range []int{63, 64, 65, 96} {
+	for _, sh := range boundaryShapes() {
 		for _, am := range wideArbiters() {
-			n, am := n, am
-			t.Run(fmt.Sprintf("n%d/%s", n, am.name), func(t *testing.T) {
+			sh, am := sh, am
+			t.Run(sh.name+"/"+am.name, func(t *testing.T) {
 				t.Parallel()
-				scalar, err := buildWideScalar(n, am, true)
+				scalar, err := buildWideScalar(sh, am, true)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := scalar.Run(boundaryCycles); err != nil {
 					t.Fatal(err)
 				}
-				ff, err := buildWideScalar(n, am, false)
+				ff, err := buildWideScalar(sh, am, false)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := ff.Run(boundaryCycles); err != nil {
 					t.Fatal(err)
 				}
-				eng := buildWideLanes(n, am)
+				eng := buildWideLanes(sh, am)
 				if err := eng.Run(boundaryCycles); err != nil {
 					t.Fatal(err)
 				}

@@ -32,13 +32,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"lotterybus/internal/prng"
 )
 
 // lutMaxMasters bounds the request-map lookup table (2^n entries of n
-// partial sums each). Beyond this the static manager computes ranges on
-// demand, which is behaviourally identical.
+// partial sums each). Beyond this the managers walk the requesters'
+// set bits on every draw, which is behaviourally identical.
 const lutMaxMasters = 12
 
 // SlackPolicy selects how a lottery manager maps a raw random word onto
@@ -117,18 +118,21 @@ type StaticLottery struct {
 	redraws uint64
 }
 
-// rangeLUT caches, per request mask, the running partial sums
-// Σ_{j<=i} r_j·t_j and the live total.
+// rangeLUT serves a draw's live total Σ r_j·t_j and its winner. Up to
+// lutMaxMasters masters it caches, per request mask, the running partial
+// sums and the live total — the hardware lookup table. Beyond that it
+// walks only the requesters' set bits (see requesterTotal and
+// requesterWinner), so a draw costs one step per requester, not one per
+// master.
 type rangeLUT struct {
 	holdings []uint64
 	totals   []uint64   // nil when beyond lutMaxMasters
 	psums    [][]uint64 // nil when beyond lutMaxMasters
-	scratch  []uint64
 }
 
 func newRangeLUT(holdings []uint64, buildTable bool) rangeLUT {
 	n := len(holdings)
-	l := rangeLUT{holdings: holdings, scratch: make([]uint64, n)}
+	l := rangeLUT{holdings: holdings}
 	if !buildTable {
 		return l
 	}
@@ -138,47 +142,83 @@ func newRangeLUT(holdings []uint64, buildTable bool) rangeLUT {
 	flat := make([]uint64, size*n)
 	for mask := 0; mask < size; mask++ {
 		ps := flat[mask*n : (mask+1)*n]
-		var acc uint64
-		for i := 0; i < n; i++ {
-			if mask>>uint(i)&1 == 1 {
-				acc += holdings[i]
-			}
-			ps[i] = acc
-		}
-		l.totals[mask] = acc
+		l.totals[mask] = prefixSums(holdings, uint64(mask), ps)
 		l.psums[mask] = ps
 	}
 	return l
 }
 
-// live returns the partial sums and total for mask. The returned slice is
-// shared; callers must not retain it across draws.
-func (l *rangeLUT) live(mask uint64) ([]uint64, uint64) {
-	if l.psums != nil && mask < uint64(len(l.psums)) {
-		return l.psums[mask], l.totals[mask]
-	}
+// prefixSums fills ps with the running partial sums Σ_{j<=i} r_j·t_j of
+// holdings under mask and returns the live total.
+func prefixSums(holdings []uint64, mask uint64, ps []uint64) uint64 {
 	var acc uint64
-	for i := range l.holdings {
+	for i, h := range holdings {
 		if mask>>uint(i)&1 == 1 {
-			acc += l.holdings[i]
+			acc += h
 		}
-		l.scratch[i] = acc
+		ps[i] = acc
 	}
-	return l.scratch, acc
+	return acc
 }
 
-// liveSet is live for a wide request map (more than 64 masters, beyond
-// any LUT). The returned slice is shared; callers must not retain it
-// across draws.
-func (l *rangeLUT) liveSet(set Bitset) ([]uint64, uint64) {
-	var acc uint64
-	for i := range l.holdings {
-		if set.Test(i) {
-			acc += l.holdings[i]
-		}
-		l.scratch[i] = acc
+// row returns the lookup-table row of a request mask trimmed to n bits
+// and its live total; beyond the table the row is nil and the total is
+// walked from the requesters.
+func (l *rangeLUT) row(mask uint64) ([]uint64, uint64) {
+	if l.psums != nil {
+		return l.psums[mask], l.totals[mask]
 	}
-	return l.scratch, acc
+	return nil, requesterTotal(l.holdings, 0, mask)
+}
+
+// requesterTotal sums holdings over the set bits of mask, bit i standing
+// for holdings[base+i]: the bitwise-AND stage and adder tree of the
+// hardware, one step per requester.
+func requesterTotal(holdings []uint64, base int, mask uint64) uint64 {
+	var acc uint64
+	for ; mask != 0; mask &= mask - 1 {
+		acc += holdings[base+bits.TrailingZeros64(mask)]
+	}
+	return acc
+}
+
+// requesterWinner walks the set bits of mask (bit i standing for
+// holdings[base+i]) and returns the first requester whose range contains
+// r, or NoWinner together with r less the walked holdings, so a wide
+// request map continues the walk in its next word. This is selectWinner
+// over the prefix sums without forming them: the first index whose
+// partial sum exceeds r is always a requester, because a non-requester's
+// partial sum equals its predecessor's. Same total, same winner, same
+// PRNG consumption.
+func requesterWinner(holdings []uint64, base int, mask, r uint64) (int, uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		i := base + bits.TrailingZeros64(mask)
+		if r < holdings[i] {
+			return i, 0
+		}
+		r -= holdings[i]
+	}
+	return NoWinner, r
+}
+
+// setTotal is requesterTotal over a wide request map.
+func setTotal(holdings []uint64, set Bitset) uint64 {
+	var acc uint64
+	for w, word := range set {
+		acc += requesterTotal(holdings, w<<6, word)
+	}
+	return acc
+}
+
+// setWinner is requesterWinner over a wide request map.
+func setWinner(holdings []uint64, set Bitset, r uint64) int {
+	for w, word := range set {
+		var win int
+		if win, r = requesterWinner(holdings, w<<6, word, r); win != NoWinner {
+			return win
+		}
+	}
+	return NoWinner
 }
 
 // StaticConfig parameterizes NewStaticLottery.
@@ -263,8 +303,9 @@ func (l *StaticLottery) ScaledTickets() []uint64 {
 // request mask, using the scaled holdings. This is the row the hardware
 // lookup table stores for that request map.
 func (l *StaticLottery) RangeTable(mask uint64) []uint64 {
-	ps, _ := l.scaledLUT.live(mask)
-	return append([]uint64(nil), ps...)
+	ps := make([]uint64, l.n)
+	prefixSums(l.scaled, mask, ps)
+	return ps
 }
 
 // Draws reports how many draws have been performed (including redraws).
@@ -277,46 +318,48 @@ func (l *StaticLottery) Redraws() uint64 { return l.redraws }
 // i has a pending request). It returns the granted master index, or
 // NoWinner if mask is empty or a PolicyRedraw draw hit the slack zone.
 func (l *StaticLottery) Draw(mask uint64) int {
-	mask &= (uint64(1) << uint(l.n)) - 1
+	mask &= FullMask(l.n)
 	if mask == 0 {
 		return NoWinner
 	}
+	// roll's policy switch, inlined, with the row fetched before the RNG
+	// call: this is the LUT path of every bus of up to 12 masters, where
+	// calling roll measurably slowed the draw.
 	l.draws++
+	lut := &l.origLUT
 	var ps []uint64
 	var total, r uint64
 	switch l.policy {
 	case PolicyModulo:
-		ps, total = l.origLUT.live(mask)
+		ps, total = lut.row(mask)
 		if total >= 1<<24 {
 			r = prng.Uintn(l.src, total)
 		} else {
 			r = (l.src.Uint64() & (1<<32 - 1)) % total
 		}
-	case PolicyRedraw:
-		ps, total = l.scaledLUT.live(mask)
+	case PolicyRedraw, PolicyAbsorbLast:
+		lut = &l.scaledLUT
+		ps, total = lut.row(mask)
 		r = l.word()
-		if r >= total {
-			l.redraws++
-			return NoWinner
-		}
-	case PolicyAbsorbLast:
-		ps, total = l.scaledLUT.live(mask)
-		r = l.word()
-		if r >= total {
-			return highestBit(mask)
-		}
 	default: // PolicyExact
-		ps, total = l.origLUT.live(mask)
+		ps, total = lut.row(mask)
 		r = prng.Uintn(l.src, total)
 	}
-	return selectWinner(ps, r)
+	if r >= total {
+		return l.slack(highestBit(mask))
+	}
+	if ps != nil {
+		return selectWinner(ps, r)
+	}
+	w, _ := requesterWinner(lut.holdings, 0, mask, r)
+	return w
 }
 
 // DrawSet runs one lottery over the masters in set — the wide-fabric
 // entry point. For managers of at most 64 masters it reduces to
 // Draw(set.Mask64()): same PRNG consumption, same winner, so existing
 // fingerprints are untouched and the hot loop stays word-wide. Beyond
-// 64 masters the partial sums are scanned over the full set.
+// 64 masters the draw walks the set's requesters word by word.
 func (l *StaticLottery) DrawSet(set Bitset) int {
 	if l.n <= 64 {
 		return l.Draw(set.Mask64())
@@ -325,35 +368,44 @@ func (l *StaticLottery) DrawSet(set Bitset) int {
 	if set.None() {
 		return NoWinner
 	}
+	holdings := l.scaled
+	if l.policy == PolicyExact || l.policy == PolicyModulo {
+		holdings = l.orig
+	}
+	total := setTotal(holdings, set)
+	if r := l.roll(total); r < total {
+		return setWinner(holdings, set, r)
+	}
+	return l.slack(set.HighestSet())
+}
+
+// roll counts a draw and returns the winning ticket for a live total
+// (Draw inlines the same switch). Only the hardware-style policies draw
+// a raw RNG word, which can land at or above total — the slack zone
+// handled by slack.
+func (l *StaticLottery) roll(total uint64) uint64 {
 	l.draws++
-	var ps []uint64
-	var total, r uint64
 	switch l.policy {
 	case PolicyModulo:
-		ps, total = l.origLUT.liveSet(set)
 		if total >= 1<<24 {
-			r = prng.Uintn(l.src, total)
-		} else {
-			r = (l.src.Uint64() & (1<<32 - 1)) % total
+			return prng.Uintn(l.src, total)
 		}
-	case PolicyRedraw:
-		ps, total = l.scaledLUT.liveSet(set)
-		r = l.word()
-		if r >= total {
-			l.redraws++
-			return NoWinner
-		}
-	case PolicyAbsorbLast:
-		ps, total = l.scaledLUT.liveSet(set)
-		r = l.word()
-		if r >= total {
-			return set.HighestSet()
-		}
+		return (l.src.Uint64() & (1<<32 - 1)) % total
+	case PolicyRedraw, PolicyAbsorbLast:
+		return l.word()
 	default: // PolicyExact
-		ps, total = l.origLUT.liveSet(set)
-		r = prng.Uintn(l.src, total)
+		return prng.Uintn(l.src, total)
 	}
-	return selectWinner(ps, r)
+}
+
+// slack resolves a draw that landed above the live total: PolicyAbsorbLast
+// grants the highest requester, PolicyRedraw issues no grant.
+func (l *StaticLottery) slack(highest int) int {
+	if l.policy == PolicyAbsorbLast {
+		return highest
+	}
+	l.redraws++
+	return NoWinner
 }
 
 // word draws one RNG word in [0, 1<<width).
@@ -375,16 +427,13 @@ func selectWinner(psums []uint64, r uint64) int {
 	return NoWinner
 }
 
-// highestBit returns the index of the most significant set bit of mask.
+// highestBit returns the index of the most significant set bit of mask,
+// or NoWinner when mask is empty.
 func highestBit(mask uint64) int {
-	hi := NoWinner
-	for i := 0; mask != 0; i++ {
-		if mask&1 == 1 {
-			hi = i
-		}
-		mask >>= 1
+	if mask == 0 {
+		return NoWinner
 	}
-	return hi
+	return 63 - bits.LeadingZeros64(mask)
 }
 
 // DynamicLottery is the dynamically-configured lottery manager: ticket
@@ -395,7 +444,6 @@ type DynamicLottery struct {
 	width  uint
 	policy SlackPolicy
 	src    prng.Source
-	psums  []uint64 // scratch
 
 	draws   uint64
 	redraws uint64
@@ -440,7 +488,6 @@ func NewDynamicLottery(cfg DynamicConfig) (*DynamicLottery, error) {
 		width:  width,
 		policy: cfg.Policy,
 		src:    cfg.Source,
-		psums:  make([]uint64, cfg.Masters),
 	}, nil
 }
 
@@ -469,55 +516,28 @@ func (l *DynamicLottery) Draw(mask uint64, tickets []uint64) int {
 	if len(tickets) != l.n {
 		panic(fmt.Sprintf("core: Draw with %d tickets for %d masters", len(tickets), l.n))
 	}
-	mask &= (uint64(1) << uint(l.n)) - 1
+	mask &= FullMask(l.n)
 	if mask == 0 {
 		return NoWinner
 	}
-	// Bitwise-AND stage plus adder tree (paper Fig. 10).
-	var acc uint64
-	for i := 0; i < l.n; i++ {
-		if mask>>uint(i)&1 == 1 {
-			acc += tickets[i]
-		}
-		l.psums[i] = acc
-	}
-	total := acc
+	// Bitwise-AND stage plus adder tree (paper Fig. 10), over the
+	// requesters only.
+	total := requesterTotal(tickets, 0, mask)
 	if total == 0 {
 		return lowestBit(mask)
 	}
-	if total >= uint64(1)<<l.width && l.policy != PolicyExact {
-		// The live total does not fit the RNG word; fall back to the
-		// exact path rather than produce garbage grants.
-		l.draws++
-		return selectWinner(l.psums, prng.Uintn(l.src, total))
+	if r := l.roll(total); r < total {
+		w, _ := requesterWinner(tickets, 0, mask, r)
+		return w
 	}
-	l.draws++
-	var r uint64
-	switch l.policy {
-	case PolicyExact:
-		r = prng.Uintn(l.src, total)
-	case PolicyRedraw:
-		r = l.word()
-		if r >= total {
-			l.redraws++
-			return NoWinner
-		}
-	case PolicyAbsorbLast:
-		r = l.word()
-		if r >= total {
-			return highestBit(mask)
-		}
-	default: // PolicyModulo — the paper's dynamic manager hardware.
-		r = l.word() % total
-	}
-	return selectWinner(l.psums, r)
+	return l.slack(highestBit(mask))
 }
 
 // DrawSet runs one lottery over the masters in set with the given live
 // ticket holdings — the wide-fabric entry point. For managers of at
 // most 64 masters it reduces to Draw(set.Mask64(), tickets): same PRNG
-// consumption, same winner. Beyond 64 masters the adder tree runs over
-// the full set.
+// consumption, same winner. Beyond 64 masters the adder tree walks the
+// set's requesters word by word.
 func (l *DynamicLottery) DrawSet(set Bitset, tickets []uint64) int {
 	if l.n <= 64 {
 		return l.Draw(set.Mask64(), tickets)
@@ -529,55 +549,53 @@ func (l *DynamicLottery) DrawSet(set Bitset, tickets []uint64) int {
 	if set.None() {
 		return NoWinner
 	}
-	var acc uint64
-	for i := 0; i < l.n; i++ {
-		if set.Test(i) {
-			acc += tickets[i]
-		}
-		l.psums[i] = acc
-	}
-	total := acc
+	total := setTotal(tickets, set)
 	if total == 0 {
 		return set.LowestSet()
 	}
-	if total >= uint64(1)<<l.width && l.policy != PolicyExact {
-		l.draws++
-		return selectWinner(l.psums, prng.Uintn(l.src, total))
+	if r := l.roll(total); r < total {
+		return setWinner(tickets, set, r)
 	}
+	return l.slack(set.HighestSet())
+}
+
+// roll counts a draw and returns the winning ticket for a live total.
+// A total that does not fit the RNG word falls back to the exact path
+// rather than produce garbage grants; otherwise the hardware-style
+// policies draw a raw word, which Redraw and AbsorbLast may find in the
+// slack zone at or above total.
+func (l *DynamicLottery) roll(total uint64) uint64 {
 	l.draws++
-	var r uint64
-	switch l.policy {
-	case PolicyExact:
-		r = prng.Uintn(l.src, total)
-	case PolicyRedraw:
-		r = l.word()
-		if r >= total {
-			l.redraws++
-			return NoWinner
-		}
-	case PolicyAbsorbLast:
-		r = l.word()
-		if r >= total {
-			return set.HighestSet()
-		}
-	default: // PolicyModulo — the paper's dynamic manager hardware.
-		r = l.word() % total
+	if l.policy == PolicyExact || total >= uint64(1)<<l.width {
+		return prng.Uintn(l.src, total)
 	}
-	return selectWinner(l.psums, r)
+	if l.policy == PolicyModulo { // the paper's dynamic manager hardware
+		return l.word() % total
+	}
+	return l.word()
+}
+
+// slack resolves a draw that landed above the live total, as
+// StaticLottery.slack does.
+func (l *DynamicLottery) slack(highest int) int {
+	if l.policy == PolicyAbsorbLast {
+		return highest
+	}
+	l.redraws++
+	return NoWinner
 }
 
 func (l *DynamicLottery) word() uint64 {
 	return l.src.Uint64() & (uint64(1)<<l.width - 1)
 }
 
-// lowestBit returns the index of the least significant set bit of mask.
+// lowestBit returns the index of the least significant set bit of mask,
+// or NoWinner when mask is empty.
 func lowestBit(mask uint64) int {
-	for i := 0; i < 64; i++ {
-		if mask>>uint(i)&1 == 1 {
-			return i
-		}
+	if mask == 0 {
+		return NoWinner
 	}
-	return NoWinner
+	return bits.TrailingZeros64(mask)
 }
 
 // AccessProbability returns the probability that a master holding t of T

@@ -809,11 +809,6 @@ func (e *Engine) runLaneNarrow(lane, base int, start, end int64) error {
 			// Dead gap: bus idle, no requests. Nothing can happen until
 			// the next arrival or a split response becomes ready.
 			if target := min(end, e.laneNextEvent(lane, base, cycle)); target > cycle {
-				for m := 0; m < len(e.masters); m++ {
-					if s := e.scheds[base+m]; s != nil {
-						s.SkipTo(target)
-					}
-				}
 				cycle = target
 			}
 		}
@@ -861,11 +856,6 @@ func (e *Engine) runLaneWide(lane, base int, start, end int64) error {
 		} else if deadGap {
 			// Dead gap: bus idle, no requests.
 			if target := min(end, e.laneNextEvent(lane, base, cycle)); target > cycle {
-				for m := 0; m < len(e.masters); m++ {
-					if s := e.scheds[base+m]; s != nil {
-						s.SkipTo(target)
-					}
-				}
 				cycle = target
 			}
 		}

@@ -19,23 +19,27 @@ import (
 const Never = int64(math.MaxInt64)
 
 // Scheduler is the optional event-driven extension of bus.Generator
-// consumed by the bus fast-forward engine. The contract, assuming Tick
-// has been called at every past arrival cycle:
+// consumed by the bus fast-forward engine and the lane engine. The
+// contract, assuming Tick has been called at every past arrival cycle:
 //
 //   - NextArrival(cycle) returns the earliest cycle >= cycle at which
 //     Tick may emit a message, or Never if no arrival is forthcoming. It
 //     must not advance PRNG state beyond what scheduling that arrival
 //     requires, so calling it any number of times — or never — leaves the
 //     emitted arrival sequence unchanged.
-//   - SkipTo(cycle) tells the generator the bus fast-forwarded to cycle
-//     without calling Tick for the intermediate (arrival-free) cycles.
+//   - The answer depends only on the generator's own state, which only
+//     Tick advances, so an engine may cache it until it next ticks the
+//     generator.
+//   - Tick on a cycle before the predicted arrival emits nothing and
+//     draws no PRNG, so an engine may skip those Ticks altogether; any
+//     catching up (Trace dropping stale entries) happens lazily in the
+//     next NextArrival or Tick.
 //
 // A generator that cannot predict its arrivals (e.g. one reacting to
 // queue depth, like Saturating) simply does not implement Scheduler; the
 // bus then falls back to the naive per-cycle loop.
 type Scheduler interface {
 	NextArrival(cycle int64) int64
-	SkipTo(cycle int64)
 }
 
 // nextBernoulliArrival returns the cycle of the first arrival of a
@@ -169,9 +173,6 @@ func (p *Periodic) NextArrival(cycle int64) int64 {
 	return p.Phase + k*p.Period
 }
 
-// SkipTo is a no-op: the beat is a pure function of the cycle.
-func (p *Periodic) SkipTo(int64) {}
-
 // Bernoulli emits messages as a Bernoulli arrival process: each cycle a
 // message arrives with probability Rate/Size.Mean(), giving an offered
 // load of Rate words per cycle on average.
@@ -240,9 +241,6 @@ func (b *Bernoulli) NextArrival(cycle int64) int64 {
 	b.ensure(cycle)
 	return b.next
 }
-
-// SkipTo is a no-op: the arrival schedule is already event-indexed.
-func (b *Bernoulli) SkipTo(int64) {}
 
 // OnOff is a two-state Markov-modulated generator: in the ON state it
 // emits like a Bernoulli generator with the burst-local load; in OFF it
@@ -391,9 +389,6 @@ func (o *OnOff) NextArrival(cycle int64) int64 {
 	return o.next
 }
 
-// SkipTo is a no-op: the window chain is already event-indexed.
-func (o *OnOff) SkipTo(int64) {}
-
 // Arrival is one recorded message arrival.
 type Arrival struct {
 	Cycle int64
@@ -434,14 +429,6 @@ func (t *Trace) NextArrival(cycle int64) int64 {
 		return Never
 	}
 	return t.Arrivals[t.next].Cycle
-}
-
-// SkipTo drops recorded arrivals before cycle, mirroring what per-cycle
-// Ticks over the skipped range would have done.
-func (t *Trace) SkipTo(cycle int64) {
-	for t.next < len(t.Arrivals) && t.Arrivals[t.next].Cycle < cycle {
-		t.next++
-	}
 }
 
 // Recorder wraps a generator, recording everything it emits. Use it to
@@ -492,11 +479,4 @@ func (r *Recorder) NextArrival(cycle int64) int64 {
 		return s.NextArrival(cycle)
 	}
 	return cycle
-}
-
-// SkipTo forwards to the wrapped generator when it implements Scheduler.
-func (r *Recorder) SkipTo(cycle int64) {
-	if s, ok := r.Inner.(Scheduler); ok {
-		s.SkipTo(cycle)
-	}
 }

@@ -28,6 +28,12 @@
 #      (BenchmarkFabricSparseChainLockStep), and — when the baseline
 #      tree already has the benchmark — must stay within TOLERANCE of
 #      the baseline's.
+#   5. Wide-port gates: the fast-forward engine on the cmp64 crossbar's
+#      64-master directory port (BenchmarkWidePortFast, internal/bus)
+#      must be at least 2x faster per cycle than the naive loop on the
+#      same port in the same binary (BenchmarkWidePortNaive), and — when
+#      the baseline tree already has the benchmark — must stay within
+#      TOLERANCE of the baseline's.
 #
 #   baseline ref = $LOTTERYBUS_BENCH_BASE, else HEAD when the working
 #                  tree is dirty (local use), else merge-base with
@@ -48,6 +54,7 @@ TOLERANCE="${LOTTERYBUS_BENCH_TOLERANCE:-0.02}"
 LANES_SPEEDUP="${LOTTERYBUS_LANES_SPEEDUP:-2.0}"
 CACHE_SPEEDUP="${LOTTERYBUS_CACHE_SPEEDUP:-5.0}"
 FABRIC_SPEEDUP=2.0
+WIDE_SPEEDUP=2.0
 ROUNDS="${LOTTERYBUS_BENCH_ROUNDS:-5}"
 BENCH='BenchmarkBusCycleSaturated4Masters'
 LANE_BENCH='BenchmarkLaneCycleSaturated4Masters'
@@ -55,6 +62,8 @@ COLD_BENCH='BenchmarkSparseSweepFast'
 WARM_BENCH='BenchmarkSparseSweepWarm'
 FABRIC_BENCH='BenchmarkFabricSparseChain'
 ORACLE_BENCH='BenchmarkFabricSparseChainLockStep'
+WIDE_BENCH='BenchmarkWidePortFast'
+WIDE_NAIVE_BENCH='BenchmarkWidePortNaive'
 
 base_ref="${LOTTERYBUS_BENCH_BASE:-}"
 if [ -z "$base_ref" ] && ! git diff --quiet HEAD; then
@@ -74,7 +83,7 @@ trap 'git worktree remove --force "$worktree" >/dev/null 2>&1 || true
       rm -rf "$worktree" "$bindir"' EXIT
 git worktree add --detach "$worktree" "$base_ref" >/dev/null
 
-echo "benchguard: baseline $(git rev-parse --short "$base_ref"), tolerance ${TOLERANCE}, lane speedup >=${LANES_SPEEDUP}x, fabric speedup >=${FABRIC_SPEEDUP}x, rounds ${ROUNDS}"
+echo "benchguard: baseline $(git rev-parse --short "$base_ref"), tolerance ${TOLERANCE}, lane speedup >=${LANES_SPEEDUP}x, fabric speedup >=${FABRIC_SPEEDUP}x, wide-port speedup >=${WIDE_SPEEDUP}x, rounds ${ROUNDS}"
 (cd "$worktree" && go test -c -o "$bindir/base.test" ./internal/bus/)
 go test -c -o "$bindir/cur.test" ./internal/bus/
 go test -c -o "$bindir/cur-lanes.test" ./internal/lanes/
@@ -84,6 +93,10 @@ base_has_lanes=0
 if [ -d "$worktree/internal/lanes" ]; then
   base_has_lanes=1
   (cd "$worktree" && go test -c -o "$bindir/base-lanes.test" ./internal/lanes/)
+fi
+base_has_wide=0
+if grep -qs "func $WIDE_BENCH(" "$worktree"/internal/bus/*_test.go; then
+  base_has_wide=1
 fi
 base_has_fabric=0
 if grep -qs "func $FABRIC_BENCH(" "$worktree"/internal/topology/*_test.go; then
@@ -109,9 +122,12 @@ run_once cur-lanes "$LANE_BENCH" >/dev/null
 run_once cur-expt "$COLD_BENCH" >/dev/null
 run_once cur-topo "$FABRIC_BENCH" >/dev/null
 [ "$base_has_fabric" = 1 ] && run_once base-topo "$FABRIC_BENCH" >/dev/null
+run_once cur "$WIDE_BENCH" >/dev/null
+[ "$base_has_wide" = 1 ] && run_once base "$WIDE_BENCH" >/dev/null
 
 base_best='' cur_best='' lane_best='' base_lane_best='' cold_best='' warm_best=''
 fabric_best='' oracle_best='' base_fabric_best=''
+wide_best='' wide_naive_best='' base_wide_best=''
 for _ in $(seq "$ROUNDS"); do
   b=$(run_once base "$BENCH")
   c=$(run_once cur "$BENCH")
@@ -120,9 +136,11 @@ for _ in $(seq "$ROUNDS"); do
   warm=$(run_once cur-expt "$WARM_BENCH")
   fab=$(run_once cur-topo "$FABRIC_BENCH")
   orc=$(run_once cur-topo "$ORACLE_BENCH")
+  wf=$(run_once cur "$WIDE_BENCH")
+  wn=$(run_once cur "$WIDE_NAIVE_BENCH")
   if [ -z "$b" ] || [ -z "$c" ] || [ -z "$l" ] || [ -z "$cold" ] || [ -z "$warm" ] ||
-      [ -z "$fab" ] || [ -z "$orc" ]; then
-    echo "benchguard: benchmark produced no sample (base='$b' current='$c' lanes='$l' cold='$cold' warm='$warm' fabric='$fab' oracle='$orc')" >&2
+      [ -z "$fab" ] || [ -z "$orc" ] || [ -z "$wf" ] || [ -z "$wn" ]; then
+    echo "benchguard: benchmark produced no sample (base='$b' current='$c' lanes='$l' cold='$cold' warm='$warm' fabric='$fab' oracle='$orc' wide='$wf' wide-naive='$wn')" >&2
     exit 1
   fi
   base_best=$(min "$b" "$base_best")
@@ -132,6 +150,12 @@ for _ in $(seq "$ROUNDS"); do
   warm_best=$(min "$warm" "$warm_best")
   fabric_best=$(min "$fab" "$fabric_best")
   oracle_best=$(min "$orc" "$oracle_best")
+  wide_best=$(min "$wf" "$wide_best")
+  wide_naive_best=$(min "$wn" "$wide_naive_best")
+  if [ "$base_has_wide" = 1 ]; then
+    bw=$(run_once base "$WIDE_BENCH")
+    [ -n "$bw" ] && base_wide_best=$(min "$bw" "$base_wide_best")
+  fi
   if [ "$base_has_fabric" = 1 ]; then
     bf=$(run_once base-topo "$FABRIC_BENCH")
     [ -n "$bf" ] && base_fabric_best=$(min "$bf" "$base_fabric_best")
@@ -182,6 +206,21 @@ if [ "$base_has_fabric" = 1 ] && [ -n "$base_fabric_best" ]; then
   awk -v cur="$fabric_best" -v base="$base_fabric_best" -v tol="$TOLERANCE" 'BEGIN {
     limit = base * (1 + tol)
     printf "benchguard: fabric  %.0f ns/op vs baseline %.0f ns/op (limit %.0f, %+.1f%%)\n",
+      cur, base, limit, 100 * (cur - base) / base
+    exit cur <= limit ? 0 : 1
+  }' || fail=1
+fi
+
+awk -v fast="$wide_best" -v naive="$wide_naive_best" -v need="$WIDE_SPEEDUP" 'BEGIN {
+  printf "benchguard: wide    %.1f ns/cycle fast vs %.1f ns/cycle naive (%.2fx, need >=%.2fx)\n",
+    fast, naive, naive / fast, need
+  exit naive / fast >= need ? 0 : 1
+}' || fail=1
+
+if [ "$base_has_wide" = 1 ] && [ -n "$base_wide_best" ]; then
+  awk -v cur="$wide_best" -v base="$base_wide_best" -v tol="$TOLERANCE" 'BEGIN {
+    limit = base * (1 + tol)
+    printf "benchguard: wide    %.1f ns/cycle vs baseline %.1f ns/cycle (limit %.1f, %+.1f%%)\n",
       cur, base, limit, 100 * (cur - base) / base
     exit cur <= limit ? 0 : 1
   }' || fail=1
